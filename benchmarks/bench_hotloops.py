@@ -19,9 +19,13 @@ Two CLI modes gate the perf story in CI:
 * ``--multi-model`` times fused K-model grid training
   (:class:`repro.optim.MultiModelPSGD`) against K sequential vectorized
   runs at K in {4, 16, 64} and **exits 1 if fused falls below 3x at
-  K=16** — the second multiplicative speedup stacked on vectorization.
+  K=16** — the second multiplicative speedup stacked on vectorization;
+* ``--exact-kernel`` times the fused scan's exact-mode gradient at K=32,
+  b=50, d=50 — K per-model ``batch_gradient`` calls against one stacked
+  ``batch_gradient_exact_multi`` call — asserts the two are bitwise
+  equal and **exits 1 below 2x**.
 
-Both modes write every timing to ``BENCH_hotloops.json`` next to the repo
+Every mode writes its timings to ``BENCH_hotloops.json`` next to the repo
 root (scalar / vectorized / fused), so future PRs inherit a
 machine-readable perf trajectory.
 """
@@ -77,6 +81,13 @@ SPEEDUP_FLOOR = 3.0
 FUSED_SPEEDUP_FLOOR = 3.0
 FUSED_GATE_K = 16
 MULTI_MODEL_KS = (4, 16, 64)
+
+#: --exact-kernel fails below this stacked-over-per-model speedup. The
+#: kernel shape is the service's fused window (32 jobs, b=50, d=50) and
+#: does not shrink under --smoke: one call takes well under a millisecond.
+EXACT_KERNEL_FLOOR = 2.0
+EXACT_KERNEL_K, EXACT_KERNEL_D = 32, 50
+EXACT_KERNEL_CALLS = 200
 
 #: Machine-readable perf trajectory, written by both CLI modes.
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotloops.json"
@@ -242,6 +253,55 @@ def multi_model(rounds: int = 3, ks=MULTI_MODEL_KS, write: bool = True) -> float
     return gate_speedup
 
 
+def exact_kernel(rounds: int = 3, write: bool = True) -> float:
+    """Time the exact-mode gradient of one K-model mini-batch segment.
+
+    The per-model loop is what ``MultiSGDUDA(gradient_mode="exact")``
+    does for losses the stacked kernel cannot serve; the stacked kernel
+    is its path for a shared margin loss. Returns the speedup after
+    asserting the two are bitwise equal (atol=0).
+    """
+    K, d = EXACT_KERNEL_K, EXACT_KERNEL_D
+    Xb, yb = make_binary_data(BATCH, d, seed=77)
+    W = np.random.default_rng(7).normal(scale=0.1, size=(K, d))
+    lambdas = np.logspace(-4, -1, K)
+    losses = [LogisticLoss(regularization=float(lam)) for lam in lambdas]
+
+    def per_model():
+        return np.stack([losses[k].batch_gradient(W[k], Xb, yb) for k in range(K)])
+
+    def stacked():
+        return LOSS.batch_gradient_exact_multi(W, Xb, yb, lambdas)
+
+    assert np.array_equal(per_model(), stacked()), "stacked exact kernel is not bitwise"
+
+    def calls(kernel):
+        return lambda: [kernel() for _ in range(EXACT_KERNEL_CALLS)]
+
+    per_model_s = _best_of(calls(per_model), rounds) / EXACT_KERNEL_CALLS
+    stacked_s = _best_of(calls(stacked), rounds) / EXACT_KERNEL_CALLS
+    speedup = per_model_s / stacked_s
+    print(
+        f"exact-kernel shape: K={K}, b={BATCH}, d={d} "
+        f"(best of {rounds} x {EXACT_KERNEL_CALLS} calls)"
+    )
+    print(f"per-model loop: {per_model_s * 1e6:8.1f} us")
+    print(f"stacked kernel: {stacked_s * 1e6:8.1f} us")
+    print(f"speedup:        {speedup:8.2f}x  (gate: >= {EXACT_KERNEL_FLOOR}x, bitwise equal)")
+    if write:
+        _write_results(
+            exact_kernel={
+                "K": K,
+                "batch_size": BATCH,
+                "d": d,
+                "per_model_s": per_model_s,
+                "stacked_s": stacked_s,
+                "speedup": speedup,
+            }
+        )
+    return speedup
+
+
 def _write_results(**updates) -> None:
     """Merge timings into the BENCH_hotloops.json perf trajectory."""
     payload = {}
@@ -302,6 +362,12 @@ def main(argv=None) -> int:
         f"{FUSED_SPEEDUP_FLOOR}x at K={FUSED_GATE_K}",
     )
     parser.add_argument(
+        "--exact-kernel",
+        action="store_true",
+        help=f"time K={EXACT_KERNEL_K} per-model exact gradients vs the stacked "
+        f"exact kernel and fail (exit 1) if not bitwise or below {EXACT_KERNEL_FLOOR}x",
+    )
+    parser.add_argument(
         "--rounds", type=int, default=3, help="timed rounds per path (default 3)"
     )
     parser.add_argument(
@@ -322,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be a positive integer, got {args.rounds}")
-    if not args.compare_paths and not args.multi_model:
+    if not (args.compare_paths or args.multi_model or args.exact_kernel):
         parser.print_help()
         return 0
     if args.smoke:
@@ -363,6 +429,22 @@ def main(argv=None) -> int:
                     "floor": FUSED_SPEEDUP_FLOOR,
                     "passed": fused_speedup >= FUSED_SPEEDUP_FLOOR,
                     "shape": {"m": M, "d": D, "batch_size": BATCH},
+                },
+            )
+    if args.exact_kernel:
+        kernel_speedup = exact_kernel(args.rounds, write=not args.smoke)
+        if kernel_speedup < EXACT_KERNEL_FLOOR:
+            print(f"FAIL: stacked exact kernel below {EXACT_KERNEL_FLOOR}x")
+            failed = True
+        if args.report:
+            write_report(
+                args.report,
+                exact_kernel={
+                    "metric": f"stacked over per-model exact gradient at K={EXACT_KERNEL_K}",
+                    "value": kernel_speedup,
+                    "floor": EXACT_KERNEL_FLOOR,
+                    "passed": kernel_speedup >= EXACT_KERNEL_FLOOR,
+                    "shape": {"K": EXACT_KERNEL_K, "batch_size": BATCH, "d": EXACT_KERNEL_D},
                 },
             )
     if failed:

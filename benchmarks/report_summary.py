@@ -22,6 +22,7 @@ import sys
 GATE_LABELS = {
     "vectorized_vs_scalar": "Vectorized >= 3x scalar epoch",
     "fused_multi_model": "Fused >= 3x sequential at K=16",
+    "exact_kernel": "Stacked exact kernel >= 2x per-model at K=32",
     "shared_scan_pages": "Shared-scan >= 3x page ratio",
     "async_and_cache": "Async bitwise + free cache replay",
     "parallel_dispatch": "Per-table overlap >= 1.5x global lock",

@@ -63,6 +63,11 @@ from repro.service.server import TrainingService
 #: on this API legitimately streams megabytes at the server).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Socket read/write timeout of one connection, in seconds. A client that
+#: sends part of a request and then stalls is dropped after this long
+#: instead of holding its handler thread forever.
+REQUEST_TIMEOUT_S = 10.0
+
 _JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9._:-]+)(/model|/trace|/cancel)?$")
 
 
@@ -163,6 +168,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
     """Route, authenticate, dispatch, envelope — one request at a time."""
 
     server_api: ServiceApiServer  # installed by ServiceApiServer
+
+    # StreamRequestHandler.setup() applies this to the connection socket;
+    # a timed-out read ends the request without a response.
+    timeout = REQUEST_TIMEOUT_S
 
     # HTTP/1.0 (the default): one request per connection, closed by the
     # server — no keep-alive reader threads to leak.

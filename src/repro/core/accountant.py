@@ -57,11 +57,31 @@ class PrivacyAccountant:
     total delta the sum of spent deltas. ``parallel`` spends — mechanisms
     run on *disjoint* data partitions — cost only their maximum, which is
     how Algorithm 3's per-candidate training is accounted.
+
+    :meth:`total` is O(1): a running ``(eps, delta)`` is advanced on every
+    appended spend, in the same left-to-right order as ``sum()`` over
+    ``spends``, so it is bitwise that sum. Only a parallel spend that
+    raises an earlier group entry recomputes it from scratch.
     """
 
     budget: PrivacyParameters
     spends: List[PrivacySpend] = field(default_factory=list)
     _parallel_groups: dict = field(default_factory=dict)
+    _total: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._recount()
+
+    def _recount(self) -> None:
+        self._total = (
+            sum(s.parameters.epsilon for s in self.spends),
+            sum(s.parameters.delta for s in self.spends),
+        )
+
+    def _append(self, spend: PrivacySpend) -> None:
+        self.spends.append(spend)
+        eps, delta = self._total
+        self._total = (eps + spend.parameters.epsilon, delta + spend.parameters.delta)
 
     def can_spend(self, parameters: PrivacyParameters) -> bool:
         """Would :meth:`spend` of ``parameters`` succeed right now?"""
@@ -80,7 +100,7 @@ class PrivacyAccountant:
                 f"spend {parameters} (label={label!r}) would exceed the "
                 f"budget {self.budget}; already spent ({eps:g}, {delta:g})"
             )
-        self.spends.append(PrivacySpend(label=label, parameters=parameters))
+        self._append(PrivacySpend(label=label, parameters=parameters))
 
     def spend_parallel(
         self, parameters: PrivacyParameters, group: str, label: str = ""
@@ -104,7 +124,7 @@ class PrivacyAccountant:
                 f"the budget {self.budget}"
             )
         if current is None:
-            self.spends.append(
+            self._append(
                 PrivacySpend(label=f"[parallel:{group}] {label}", parameters=parameters)
             )
             self._parallel_groups[group] = PrivacyParameters(new_eps, new_delta or 0.0)
@@ -118,6 +138,7 @@ class PrivacyAccountant:
                         parameters=self._parallel_groups[group],
                     )
                     break
+            self._recount()
 
     def replay(self, spends: Iterable[PrivacySpend]) -> None:
         """Re-record a committed spend history, in order, with full checks.
@@ -135,9 +156,7 @@ class PrivacyAccountant:
 
     def total(self) -> tuple[float, float]:
         """Total (epsilon, delta) spent so far under basic composition."""
-        eps = sum(s.parameters.epsilon for s in self.spends)
-        delta = sum(s.parameters.delta for s in self.spends)
-        return eps, delta
+        return self._total
 
     def remaining(self) -> PrivacyParameters:
         """Remaining budget (epsilon floor at a tiny positive value)."""

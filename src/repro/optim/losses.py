@@ -411,6 +411,38 @@ class MarginLoss(Loss):
             G = np.einsum("kn,knd->kd", coef, X) / n
         return G + lam[:, None] * W
 
+    def batch_gradient_exact_multi(
+        self,
+        W: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
+        regularization: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """K mean gradients over one shared ``(n, d)`` batch, row ``k``
+        bitwise-equal to :meth:`batch_gradient` of ``W[k]`` at lambda
+        ``regularization[k]``.
+
+        Only the two contractions stay per model: the margins
+        ``X @ W[k]`` and ``X.T @ coef[k]`` are the same BLAS GEMV calls
+        :meth:`batch_gradient` makes (one GEMM would sum in a different
+        order). Everything else — ``y * Z``, ``phi'``, ``* y``, ``/ n``
+        and the L2 term — runs once on the stacked ``(K, n)`` / ``(K, d)``
+        arrays, and an elementwise op rounds each element exactly as it
+        does in the single-model call.
+        """
+        K = W.shape[0]
+        n = X.shape[0]
+        lam = self._lambda_vector(K, regularization)
+        margins = np.empty((K, n), dtype=np.float64)
+        for k in range(K):
+            np.matmul(X, W[k], out=margins[k])
+        coef = self.margin_derivative(y * margins) * y
+        G = np.empty_like(W)
+        XT = X.T
+        for k in range(K):
+            np.matmul(XT, coef[k], out=G[k])
+        return G / n + lam[:, None] * W
+
     def _multi_margin_terms(
         self, W: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -503,13 +535,12 @@ class LogisticLoss(MarginLoss):
         return np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
 
     def margin_derivative(self, z: np.ndarray) -> np.ndarray:
-        # phi'(z) = -1 / (1 + e^{z}), computed stably with expit-style clip.
+        # phi'(z) = -1 / (1 + e^{z}), computed stably from a = e^{-|z|} <= 1:
+        # -a / (1 + a) for z >= 0 and -1 / (1 + a) below. One exp and no
+        # masks; bitwise the two-branch expit form, ±0 and ±inf included.
         z = np.asarray(z, dtype=np.float64)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = -np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
-        return out
+        a = np.exp(-np.abs(z))
+        return np.where(z >= 0, -a, -1.0) / (1.0 + a)
 
     def margin_lipschitz(self) -> float:
         return 1.0

@@ -151,3 +151,40 @@ def rows_projector(
         return W
 
     return project_rows
+
+
+def exact_rows_projector(
+    projections: Sequence[Projection],
+) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Compile per-model projections into a row projector whose row ``k``
+    is bitwise ``projections[k](W[k])``.
+
+    Only an :class:`L2BallProjection` / :class:`IdentityProjection` mix
+    compiles (exact types: a subclass may override ``__call__``); anything
+    else returns ``None`` and the caller keeps its per-model loop. Each
+    ball row's norm is ``sqrt(row.dot(row))`` — the BLAS dot
+    ``np.linalg.norm`` computes for a 1-D vector, where the
+    ``norm(W, axis=1)`` reduction of :func:`rows_projector` sums in a
+    different order — and every row outside its ball is rescaled by one
+    masked ``w * (radius / norm)``. A NaN norm rescales, exactly as
+    ``L2BallProjection``'s ``norm <= radius`` test does. The projector
+    mutates its argument in place and returns it.
+    """
+    projections = list(projections)
+    kinds = {type(p) for p in projections}
+    if not kinds <= {L2BallProjection, IdentityProjection}:
+        return None
+    balls = np.flatnonzero([type(p) is L2BallProjection for p in projections])
+    radii = np.array([projections[k].radius for k in balls], dtype=np.float64)
+
+    def project_exact(W: np.ndarray) -> np.ndarray:
+        if balls.size == 0:
+            return W
+        norms = np.sqrt(np.array([W[k].dot(W[k]) for k in balls], dtype=np.float64))
+        outside = ~(norms <= radii)
+        if outside.any():
+            rows = balls[outside]
+            W[rows] = W[rows] * (radii[outside] / norms[outside])[:, None]
+        return W
+
+    return project_exact

@@ -19,13 +19,19 @@ because they are precisely the "deep code changes" being measured.
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.optim.losses import Loss, fusion_groups
-from repro.optim.projection import IdentityProjection, Projection, rows_projector
+from repro.optim.losses import Loss, MarginLoss, fusion_groups
+from repro.optim.projection import (
+    IdentityProjection,
+    Projection,
+    exact_rows_projector,
+    rows_projector,
+)
 from repro.optim.schedules import StepSizeSchedule
 from repro.utils.validation import check_positive_int
 
@@ -285,15 +291,20 @@ class MultiSGDUDA(UDA):
       ``batch_gradient_multi`` GEMMs and projections run through the
       compiled row projector. Fastest; agrees with K separate
       :class:`SGDUDA` runs to 1e-12 (BLAS summation order).
-    * ``"exact"`` — each model's gradient is its own loss's
-      ``batch_gradient`` call and each row projects through its own
-      :class:`~repro.optim.projection.Projection` object: the *same*
-      sequence of floating-point operations a standalone :class:`SGDUDA`
-      performs, so every model is **bitwise** identical to its solo run
-      while the scan (and its page requests) is still paid once. This is
-      the mode the training service's scheduler uses — a job's released
-      weights must not depend on which other tenants it happened to share
-      a scan with.
+    * ``"exact"`` — every model performs the *same* floating-point
+      operations a standalone :class:`SGDUDA` performs, so every model is
+      **bitwise** identical to its solo run while the scan (and its page
+      requests) is still paid once. This is the mode the training
+      service's scheduler uses — a job's released weights must not depend
+      on which other tenants it happened to share a scan with. When the
+      losses share one :meth:`~repro.optim.losses.Loss.fusion_key` and
+      keep :meth:`MarginLoss.batch_gradient`, and every projection is an
+      L2 ball or the identity, it runs per-model GEMV contractions with
+      stacked elementwise work, same float ops
+      (:meth:`MarginLoss.batch_gradient_exact_multi`,
+      :func:`~repro.optim.projection.exact_rows_projector`, one
+      ``W - eta * G`` step). Any other mix keeps a per-model loop of
+      ``batch_gradient`` calls and projection objects.
     """
 
     def __init__(
@@ -338,11 +349,32 @@ class MultiSGDUDA(UDA):
         self.noise_draws = 0
         # Execution plan: fusable gradient groups + compiled row projector
         # + per-model cached rate vectors (grown on demand). Exact mode
-        # bypasses both the groups and the compiled projector — per-model
-        # calls are what make it bitwise-reproducible.
+        # bypasses both the groups and the compiled projector (their
+        # GEMMs and norm reductions sum in another order); it stacks
+        # only what rounds elementwise, or loops per model.
         self._groups = fusion_groups(self.losses)
         self._projector = rows_projector(self.projections) if gradient_mode == "grouped" else None
+        self._stacked = self._stacked_exact_plan() if gradient_mode == "exact" else None
         self._rates_matrix: Optional[np.ndarray] = None
+
+    def _stacked_exact_plan(self) -> Optional[tuple]:
+        """``(loss, lambdas, projector)`` for the stacked exact kernel, or
+        ``None`` when some model needs the per-model loop.
+
+        A loss that overrides ``batch_gradient`` may do other float ops,
+        so the kernel is taken only for the base
+        :meth:`MarginLoss.batch_gradient`, seen through transparent
+        (``__wrapped__``) wrappers such as profilers.
+        """
+        if len(self._groups) != 1:
+            return None
+        loss, _, lambdas = self._groups[0]
+        if inspect.unwrap(type(loss).batch_gradient) is not MarginLoss.batch_gradient:
+            return None
+        projector = exact_rows_projector(self.projections)
+        if projector is None:
+            return None
+        return loss, lambdas, projector
 
     @property
     def num_models(self) -> int:
@@ -401,7 +433,9 @@ class MultiSGDUDA(UDA):
         Same segment discipline as :meth:`SGDUDA.transition_batch` — the
         models step at exactly the same tuple positions as the per-tuple
         path — but each segment's K gradient sums collapse into the
-        grouped ``batch_gradient_multi`` contractions.
+        grouped ``batch_gradient_multi`` contractions (exact mode: one
+        stacked exact kernel call, or per-model ``batch_gradient``
+        calls).
         """
         n = int(features.shape[0])
         start = 0
@@ -409,7 +443,13 @@ class MultiSGDUDA(UDA):
             take = min(self.batch_size - state.examples_in_batch, n - start)
             segment_X = features[start : start + take]
             segment_y = labels[start : start + take]
-            if self.gradient_mode == "exact":
+            if self._stacked is not None:
+                loss, lambdas, _ = self._stacked
+                mean = loss.batch_gradient_exact_multi(
+                    state.models, segment_X, segment_y, lambdas
+                )
+                state.accumulated_gradient += mean * take
+            elif self.gradient_mode == "exact":
                 # Per-model single-model kernels: bitwise-identical floats
                 # to each model's standalone SGDUDA epoch.
                 for k, loss in enumerate(self.losses):
@@ -449,7 +489,11 @@ class MultiSGDUDA(UDA):
         eta = self._rates(step)
         mean_gradient = state.accumulated_gradient / state.examples_in_batch
         mean_gradient = self._adjust_gradient(state, mean_gradient)
-        if self.gradient_mode == "exact":
+        if self._stacked is not None:
+            # Elementwise, so bitwise each row's SGDUDA._apply_batch step.
+            _, _, project = self._stacked
+            models = project(state.models - eta[:, None] * mean_gradient)
+        elif self.gradient_mode == "exact":
             # Scalar step size + per-model projection object, mirroring
             # SGDUDA._apply_batch operation for operation.
             models = state.models

@@ -8,9 +8,10 @@ target the same table and agree on the scan-lockstep knobs
 as ONE fused aggregate query, so a 32-job window costs one job's page
 requests instead of 32. Jobs nothing else matches fall back to the
 classic sequential dispatch; either way a job's weights are bitwise the
-same (the fused UDA runs in ``gradient_mode="exact"`` over the session's
-per-table shared scan, and each job's noise comes from its own
-seed-spawned stream).
+same (the fused UDA runs in ``gradient_mode="exact"`` — per-model GEMV
+contractions, stacked elementwise work, the same float ops as a solo
+``SGDUDA`` — over the session's per-table shared scan, and each job's
+noise comes from its own seed-spawned stream).
 
 Admission control is budget-first: a job's (ε, δ) is **reserved** in the
 ledger at submission, *before* it can ever reach a scan. Denied jobs are

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accountant import (
     PrivacyAccountant,
     PrivacyBudgetExceeded,
+    PrivacySpend,
     split_evenly,
 )
 from repro.core.mechanisms import PrivacyParameters
@@ -104,3 +107,50 @@ class TestParallelAccounting:
         acct = PrivacyAccountant(budget=PrivacyParameters(0.5))
         with pytest.raises(PrivacyBudgetExceeded):
             acct.spend_parallel(PrivacyParameters(0.6), group="g")
+
+
+def _bits(total):
+    return [(type(x), float(x).hex()) for x in total]
+
+
+_PARAMS = st.builds(
+    PrivacyParameters,
+    epsilon=st.floats(1e-6, 5.0),
+    delta=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("spend"), _PARAMS),
+    st.tuples(st.just("parallel"), _PARAMS, st.sampled_from("abc")),
+    st.tuples(st.just("replay"), st.lists(_PARAMS, max_size=4)),
+)
+
+
+class TestRunningTotal:
+    """total() is a running sum, bitwise the sum() over every spend."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.lists(_PARAMS, max_size=3),
+        ops=st.lists(_OPS, max_size=25),
+        cap=st.sampled_from([20.0, 1e9]),
+    )
+    def test_cached_total_equals_the_sum_bitwise(self, initial, ops, cap):
+        acct = PrivacyAccountant(
+            budget=PrivacyParameters(cap, 0.5),
+            spends=[PrivacySpend("seed", p) for p in initial],
+        )
+        for op in ops:
+            try:
+                if op[0] == "spend":
+                    acct.spend(op[1])
+                elif op[0] == "parallel":
+                    acct.spend_parallel(op[1], group=op[2])
+                else:
+                    acct.replay(PrivacySpend("replayed", p) for p in op[1])
+            except PrivacyBudgetExceeded:
+                pass
+            expected = (
+                sum(s.parameters.epsilon for s in acct.spends),
+                sum(s.parameters.delta for s in acct.spends),
+            )
+            assert _bits(acct.total()) == _bits(expected)

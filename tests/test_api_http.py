@@ -22,7 +22,9 @@ concurrent submitters sharing one socket server.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -330,6 +332,22 @@ class TestHttpEdges:
         # Nothing was admitted, nothing charged.
         for s in client.budgets():
             assert s.spent == (0.0, 0.0)
+
+    def test_stalled_client_is_dropped_and_server_keeps_serving(self, server, monkeypatch):
+        from repro.api import server as server_module
+
+        assert server_module._ApiHandler.timeout == server_module.REQUEST_TIMEOUT_S
+        monkeypatch.setattr(server_module._ApiHandler, "timeout", 0.3)
+        with socket.create_connection((server.host, server.port), timeout=10.0) as stalled:
+            stalled.sendall(b"GET /v1/hea")  # half a request line, then silence
+            started = time.monotonic()
+            with urllib.request.urlopen(server.url + "/v1/healthz") as response:
+                assert response.status == 200
+            # The server closes the connection without a response.
+            assert stalled.recv(1024) == b""
+            assert time.monotonic() - started < 5.0
+        with urllib.request.urlopen(server.url + "/v1/healthz") as response:
+            assert response.status == 200
 
     def test_healthz_needs_no_token(self, server):
         with urllib.request.urlopen(server.url + "/v1/healthz") as response:
